@@ -24,7 +24,7 @@ FUZZ_TARGETS := \
 	internal/systolic:FuzzAffineArrayMatchesGotoh \
 	internal/server:FuzzDecodeRequest
 
-.PHONY: build vet swvet swvet-ignores test race chaos-smoke telemetry-smoke bench-smoke swar-smoke stream-smoke servd-smoke load-smoke index-smoke fuzz-smoke check
+.PHONY: build vet swvet swvet-ignores test race chaos-smoke telemetry-smoke bench-smoke swar-smoke stream-smoke servd-smoke load-smoke index-smoke perfbench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,12 @@ load-smoke:
 index-smoke:
 	bash scripts/index_smoke.sh
 
+# Repository benchmark module (perfbench/, its own go.mod): vet and test
+# it so a search or server API change that breaks the benchmark fails
+# here rather than in the benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -108,4 +114,4 @@ fuzz-smoke:
 		$(GO) test ./$$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME); \
 	done
 
-check: build vet swvet swvet-ignores test race chaos-smoke telemetry-smoke bench-smoke swar-smoke stream-smoke servd-smoke load-smoke index-smoke
+check: build vet swvet swvet-ignores test race chaos-smoke telemetry-smoke bench-smoke swar-smoke stream-smoke servd-smoke load-smoke index-smoke perfbench-test

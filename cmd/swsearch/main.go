@@ -14,16 +14,15 @@
 // (-engine lists the registered names); "fpga" is accepted as a legacy
 // alias for systolic. By default the database streams through a
 // bounded-memory prefetch window (-max-memory sets the budget for
-// records in flight); -stream=false, -retrieve, -translated and -batch
-// load it in memory instead. -index scans a packed shard index built by
-// swindex instead of parsing FASTA: records stream straight off the
-// mapped shards through the same bounded window, or — with
-// -shard-workers — through the scatter-gather merge tier, whose hits
-// are bit-identical to the flat scan. Interrupting the process (SIGINT/SIGTERM)
-// or exceeding -timeout cancels the scan cleanly — a deadline reached
-// mid-stream is an error, never a truncated hit list. -telemetry-addr
-// serves /metrics,
-// /debug/vars and /debug/pprof live; -trace writes a JSONL span trace
+// records in flight); -stream=false, -retrieve and -translated load it
+// in memory instead. -batch applies to every scan the same way. -index
+// scans a packed shard index built by swindex instead of parsing FASTA:
+// records stream straight off the mapped shards through the same
+// bounded window, or — with -shard-workers — one shard per worker,
+// with hits bit-identical to the flat scan. Interrupting the process
+// (SIGINT/SIGTERM) or exceeding -timeout cancels the scan cleanly — a
+// deadline reached mid-stream is an error, never a truncated hit list.
+// -telemetry-addr serves /metrics, /debug/vars and /debug/pprof live; -trace writes a JSONL span trace
 // and -manifest a run summary (see DESIGN.md §8).
 package main
 
@@ -50,16 +49,16 @@ func main() {
 		qFile      = flag.String("query", "", "query FASTA file (first record)")
 		dbFile     = flag.String("db", "", "database FASTA file (all records)")
 		indexFile  = flag.String("index", "", "packed shard index manifest (.swidx, built by swindex) instead of -db")
-		shardWk    = flag.Int("shard-workers", 0, "with -index: shards scanned concurrently by the merge tier (0 streams record by record)")
+		shardWk    = flag.Int("shard-workers", 0, "with -index: shards scanned concurrently, one shard per task (0 streams record by record)")
 		topK       = flag.Int("k", 10, "hits to report (0 = all)")
 		minScore   = flag.Int("min", 1, "minimum score")
 		perRecord  = flag.Int("per-record", 1, "non-overlapping hits per record")
 		retrieve   = flag.Bool("retrieve", false, "retrieve and print full alignments")
 		workers    = flag.Int("workers", 0, "concurrent records (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "records per dispatch on batch-capable engines (0/1 = per record)")
+		batch      = flag.Int("batch", 0, "records per dispatch on batch-capable engines (0 = engine default, 1 = per record)")
 		translated = flag.Bool("translated", false, "protein query vs DNA database (all six reading frames, BLOSUM62)")
 		withEvalue = flag.Bool("evalue", false, "calibrate Karlin-Altschul statistics and report E-values")
-		stream     = flag.Bool("stream", true, "stream the database in bounded memory (-retrieve, -translated and -batch load it in memory)")
+		stream     = flag.Bool("stream", true, "stream the database in bounded memory (-retrieve and -translated load it in memory)")
 		maxMem     = flag.String("max-memory", "256MiB", "streaming budget for parsed records in flight (e.g. 64MiB, 1GiB)")
 		timeout    = flag.Duration("timeout", 0, "abort the search after this long (0 = no deadline)")
 	)
@@ -86,16 +85,14 @@ func main() {
 		fatal(fmt.Errorf("need exactly one of -db and -index"))
 	}
 	if *indexFile != "" {
-		// Retrieval prints record data, translation re-reads frames and
-		// batching uploads raw records: all three need the FASTA records
-		// in memory, which an index scan deliberately never holds.
+		// Retrieval prints record data and translation re-reads frames:
+		// both need the FASTA records in memory, which an index scan
+		// deliberately never holds.
 		switch {
 		case *translated:
 			fatal(fmt.Errorf("-translated needs -db (an index holds packed DNA only)"))
 		case *retrieve:
 			fatal(fmt.Errorf("-retrieve needs -db (printing alignments needs the record data)"))
-		case *batch > 1:
-			fatal(fmt.Errorf("-batch needs -db (index scans decode record by record)"))
 		}
 	}
 	if *translated {
@@ -155,8 +152,7 @@ func main() {
 
 	// Default path: stream the database through a bounded prefetch
 	// window instead of loading it. Alignment retrieval needs record
-	// data for printing and batching needs the records up front, so
-	// those paths load the database in memory as before.
+	// data for printing, so that path loads the database in memory.
 	var (
 		hits    []search.Hit
 		db      []seq.Sequence
@@ -172,14 +168,14 @@ func main() {
 		telemetry.IndexPayloadBytes.Set(float64(idx.PayloadBytes()))
 		records = int(idx.Records())
 		if *shardWk > 0 {
-			// Scatter-gather merge tier: shards fan out across workers,
-			// per-shard top-ks merge into the pinned global order.
+			// One shard per task: shards fan out across workers, each
+			// unpacked one record group at a time.
 			tel.Describe(fmt.Sprintf("%d BP query vs %d-shard index (merge tier)", len(query), idx.Shards()), name)
 			hits, err = search.SearchSharded(ctx, idx, query,
 				search.ShardedOptions{Options: opts, ShardWorkers: *shardWk}, factory)
 		} else {
-			// Default: the unchanged bounded-memory streaming pipeline,
-			// fed records straight off the mapped shards with no parsing.
+			// Default: the bounded-memory streaming pipeline, fed records
+			// straight off the mapped shards with no parsing.
 			budget, berr := cliutil.ParseBytes(*maxMem)
 			if berr != nil {
 				fatal(fmt.Errorf("-max-memory: %w", berr))
@@ -194,7 +190,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else if *stream && !*retrieve && *batch <= 1 {
+	} else if *stream && !*retrieve {
 		budget, err := cliutil.ParseBytes(*maxMem)
 		if err != nil {
 			fatal(fmt.Errorf("-max-memory: %w", err))

@@ -12,7 +12,7 @@
 //
 // -index serves a packed shard index built by swindex instead of
 // parsing FASTA: /v1/search scatters the mapped shards across the scan
-// workers and merges per-shard top-ks, bit-identical to the flat scan;
+// workers, one shard per task, with hits bit-identical to the flat scan;
 // /metrics gauges the opened index (swfpga_index_shards, _records,
 // _payload_bytes).
 //

@@ -175,8 +175,9 @@ func TestCLISwsimVCD(t *testing.T) {
 
 // TestCLISwsearchStreamMatchesInMemory pins the CLI's streaming default
 // to the in-memory scan: the same database under a tight -max-memory
-// budget must print identical hits, and -stream=false must take the
-// legacy path without changing the output.
+// budget, or streamed through the SWAR engine in batches of 16, must
+// print identical hits, and -stream=false must take the legacy path
+// without changing the output.
 func TestCLISwsearchStreamMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "db.fa")
@@ -193,6 +194,10 @@ func TestCLISwsearchStreamMatchesInMemory(t *testing.T) {
 	inMemory := run(t, tool(t, "swsearch"), append(args, "-stream=false")...)
 	if streamed != inMemory {
 		t.Errorf("streamed output diverges from in-memory:\n--- streamed ---\n%s--- in-memory ---\n%s", streamed, inMemory)
+	}
+	batched := run(t, tool(t, "swsearch"), append(args, "-engine", "swar", "-batch", "16")...)
+	if batched != inMemory {
+		t.Errorf("streamed swar -batch 16 output diverges from in-memory:\n--- batched ---\n%s--- in-memory ---\n%s", batched, inMemory)
 	}
 	if !strings.Contains(streamed, "against 4 records") {
 		t.Errorf("streamed run lost the record count:\n%s", streamed)

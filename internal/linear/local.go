@@ -43,13 +43,6 @@ type Scanner interface {
 	BestAnchored(ctx context.Context, s, t []byte, sc align.LinearScoring) (score, endI, endJ int, err error)
 }
 
-// ScannerCtx is a deprecated alias for Scanner, kept so code written
-// against the pre-unification seam keeps compiling. Scanner itself is
-// context-aware now.
-//
-// Deprecated: use Scanner.
-type ScannerCtx = Scanner
-
 // DivergenceScanner extends Scanner with the divergence-tracking
 // reverse scan of the Z-align pipeline (paper sec. 2.4, reference [3]):
 // alongside the anchored best score and coordinates it reports the
@@ -175,14 +168,6 @@ func Local(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner Sca
 	return r, ph, nil
 }
 
-// LocalCtx is a deprecated alias for Local, which now takes the context
-// directly.
-//
-// Deprecated: use Local.
-func LocalCtx(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner Scanner) (align.Result, Phases, error) {
-	return Local(ctx, s, t, sc, scanner)
-}
-
 // LocalScoreOnly runs only phase 1 and reports the score and end
 // coordinates — precisely the paper's FPGA output contract.
 func LocalScoreOnly(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner Scanner) (Phases, error) {
@@ -197,12 +182,4 @@ func LocalScoreOnly(ctx context.Context, s, t []byte, sc align.LinearScoring, sc
 		Score: score, EndI: endI, EndJ: endJ,
 		Cells: uint64(len(s)) * uint64(len(t)),
 	}, nil
-}
-
-// LocalScoreOnlyCtx is a deprecated alias for LocalScoreOnly, which now
-// takes the context directly.
-//
-// Deprecated: use LocalScoreOnly.
-func LocalScoreOnlyCtx(ctx context.Context, s, t []byte, sc align.LinearScoring, scanner Scanner) (Phases, error) {
-	return LocalScoreOnly(ctx, s, t, sc, scanner)
 }

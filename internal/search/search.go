@@ -17,7 +17,6 @@ import (
 
 	"swfpga/internal/align"
 	"swfpga/internal/engine"
-	"swfpga/internal/engine/sched"
 	"swfpga/internal/evalue"
 	"swfpga/internal/linear"
 	"swfpga/internal/seq"
@@ -81,9 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Batch < 0 {
-		o.Batch = 0 // 0 = defer to the engine's preferred batch size
-	}
 	return o
 }
 
@@ -106,111 +102,10 @@ func EngineFactory(name string, cfg engine.Config) Factory {
 //
 // Hit order is fully deterministic: score descending, then record
 // index, start and end coordinates ascending — independent of worker
-// count and completion order.
+// count and completion order. Search is Stream over the in-memory
+// records with no byte budget.
 func Search(ctx context.Context, db []seq.Sequence, query []byte, opts Options, newEngine Factory) ([]Hit, error) {
-	opts = opts.withDefaults()
-	if err := opts.Scoring.Validate(); err != nil {
-		return nil, err
-	}
-	if len(query) == 0 {
-		return nil, fmt.Errorf("search: empty query")
-	}
-	if newEngine == nil {
-		newEngine = EngineFactory("software", engine.Config{})
-	}
-	workers := opts.Workers
-	if workers > len(db) {
-		workers = len(db)
-	}
-	if workers == 0 {
-		return nil, nil
-	}
-	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearch)
-	span.SetInt("records", int64(len(db)))
-	span.SetInt("query_len", int64(len(query)))
-	span.SetInt("workers", int64(workers))
-	defer span.End()
-
-	// Each worker's engine is built lazily on its first task. A worker
-	// has at most one attempt in flight, and consecutive attempts on a
-	// worker are sequenced through the scheduler's master loop, so the
-	// slot needs no lock.
-	engines := make([]engine.Engine, workers)
-	engineFor := func(w int) (engine.Engine, error) {
-		if engines[w] == nil {
-			e, err := newEngine()
-			if err != nil {
-				return nil, err
-			}
-			if e == nil {
-				return nil, fmt.Errorf("search: engine factory returned nil")
-			}
-			engines[w] = e
-		}
-		return engines[w], nil
-	}
-
-	batch, probe, err := negotiateBatch(opts, newEngine)
-	if err != nil {
-		return nil, err
-	}
-	if probe != nil {
-		engines[0] = probe // don't waste the probe
-	}
-	tasks := (len(db) + batch - 1) / batch
-
-	hitsPerRecord := make([][]Hit, len(db))
-	err = sched.Run(ctx, tasks, sched.Config{Workers: workers}, sched.Hooks{
-		// Classify is nil: the first record error aborts the run and
-		// cancels the in-flight scans.
-		Do: func(sctx context.Context, w int, tk sched.Task) error {
-			e, err := engineFor(w)
-			if err != nil {
-				return err
-			}
-			lo := tk.Index * batch
-			hi := lo + batch
-			if hi > len(db) {
-				hi = len(db)
-			}
-			if batch > 1 {
-				if err := scanBatch(sctx, db, lo, hi, query, opts, e, hitsPerRecord); err != nil {
-					return err
-				}
-			} else {
-				hs, err := scanRecord(sctx, db[lo], lo, query, opts, e)
-				if err != nil {
-					return fmt.Errorf("search: record %q: %w", db[lo].ID, err)
-				}
-				hitsPerRecord[lo] = hs
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("search: %w", cerr)
-		}
-		return nil, err
-	}
-
-	var out []Hit
-	for _, hs := range hitsPerRecord {
-		out = append(out, hs...)
-	}
-	sortHits(out)
-	if opts.TopK > 0 && len(out) > opts.TopK {
-		out = out[:opts.TopK]
-	}
-	if opts.Stats != nil {
-		for i := range out {
-			n := len(db[out[i].RecordIndex].Data)
-			out[i].EValue = opts.Stats.EValue(len(query), n, out[i].Result.Score)
-			out[i].BitScore = opts.Stats.BitScore(out[i].Result.Score)
-		}
-	}
-	span.SetInt("hits", int64(len(out)))
-	return out, nil
+	return Stream(ctx, seq.SliceSource(db), query, StreamOptions{Options: opts}, newEngine)
 }
 
 // sortHits applies the canonical deterministic hit order: score
@@ -227,8 +122,8 @@ func sortHits(out []Hit) {
 // hitLess is the canonical order's comparison. Distinct hits always
 // differ in at least one compared field (two hits agreeing on record
 // and all four coordinates are the same alignment), so the order is
-// total — which is what lets the sharded merge tier cut each shard to
-// its local top-k and still reproduce a flat scan bit for bit.
+// total — which is what lets the top-k collector compact as hits arrive
+// in any order and still reproduce a full sort bit for bit.
 func hitLess(a, b *Hit) bool {
 	if a.Result.Score != b.Result.Score {
 		return a.Result.Score > b.Result.Score
@@ -251,56 +146,53 @@ func hitLess(a, b *Hit) bool {
 // negotiateBatch resolves the effective record-group size for a scan.
 // Batching (SWAPHI-style) applies only to the score-only single-hit
 // path on engines that advertise it: Options.Batch == 1 forces the
-// per-record contract without probing; otherwise one engine is probed
-// up front — Batch > 1 requests that exact group size, Batch == 0
-// defers to the probed engine's PreferredBatch, and engines without
-// the Batcher interface (or a preference) keep record-by-record. The
-// probe, when non-nil, is returned so the caller can seed its worker
-// pool instead of wasting the construction.
-func negotiateBatch(opts Options, newEngine Factory) (int, engine.Engine, error) {
+// per-record contract without probing; otherwise the engine from probe
+// (a worker's own, so the construction is not wasted) is asked —
+// Batch > 1 requests that exact group size, Batch <= 0 defers to the
+// engine's PreferredBatch, and engines without the Batcher interface
+// (or a preference) keep record-by-record.
+func negotiateBatch(opts Options, probe func() (engine.Engine, error)) (int, error) {
 	if opts.Batch == 1 || opts.PerRecord != 1 || opts.Retrieve {
-		return 1, nil, nil
+		return 1, nil
 	}
-	probe, err := newEngine()
+	e, err := probe()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if probe == nil {
-		return 0, nil, fmt.Errorf("search: engine factory returned nil")
+	if engine.BatcherFor(e) == nil {
+		return 1, nil
 	}
-	batch := 1
-	if engine.BatcherFor(probe) != nil {
-		if opts.Batch > 1 {
-			batch = opts.Batch
-		} else if pb := probe.Capabilities().PreferredBatch; pb > 1 {
-			batch = pb
-		}
+	if opts.Batch > 1 {
+		return opts.Batch, nil
 	}
-	return batch, probe, nil
+	return max(e.Capabilities().PreferredBatch, 1), nil
 }
 
-// scanBatch scans records [lo, hi) through the engine's batch fast
-// path: one query upload amortized across the batch. hitsPerRecord
-// slots are written per record index, each owned by exactly one
-// in-flight task.
-func scanBatch(ctx context.Context, db []seq.Sequence, lo, hi int, query []byte, opts Options, e engine.Engine, hitsPerRecord [][]Hit) error {
-	groups, err := batchScanHits(ctx, db[lo:hi], lo, query, opts, e)
-	if err != nil {
-		return err
+// newHit builds the hit of record rec (global index idx) and, when
+// statistics are requested, annotates it here, where the record length
+// is known.
+func newHit(rec seq.Sequence, idx int, r align.Result, query []byte, opts Options) Hit {
+	h := Hit{RecordID: rec.ID, RecordIndex: idx, Result: r}
+	if opts.Stats != nil {
+		h.EValue = opts.Stats.EValue(len(query), len(rec.Data), r.Score)
+		h.BitScore = opts.Stats.BitScore(r.Score)
 	}
-	for i, hs := range groups {
-		hitsPerRecord[lo+i] = hs
-	}
-	return nil
+	return h
+}
+
+// endHit is the Result of a score-only hit: it knows where the
+// alignment ends but not where it starts, so the spans are left empty
+// at the end coordinates.
+func endHit(score, endI, endJ int) align.Result {
+	return align.Result{Score: score, SEnd: endI, TEnd: endJ, SStart: endI, TStart: endJ}
 }
 
 // batchScanHits scores one record group through the engine's batch
-// path and returns the hits per record (nil slots for records below
-// MinScore). Only the score-only single-hit search reaches it, so each
-// record yields at most one end-coordinate hit — the same Hit shape as
-// the per-record path, which keeps batched and unbatched scans
-// bit-identical.
-func batchScanHits(ctx context.Context, recs []seq.Sequence, base int, query []byte, opts Options, e engine.Engine) ([][]Hit, error) {
+// path and returns its hits. Only the score-only single-hit search
+// reaches it, so each record yields at most one end-coordinate hit —
+// the same Hit shape as the per-record path, which keeps batched and
+// unbatched scans bit-identical.
+func batchScanHits(ctx context.Context, recs []seq.Sequence, base int, query []byte, opts Options, e engine.Engine) ([]Hit, error) {
 	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanSearchBatch)
 	span.SetInt("records", int64(len(recs)))
 	span.SetInt("index", int64(base))
@@ -313,16 +205,11 @@ func batchScanHits(ctx context.Context, recs []seq.Sequence, base int, query []b
 	if err != nil {
 		return nil, fmt.Errorf("search: records %q..%q: %w", recs[0].ID, recs[len(recs)-1].ID, err)
 	}
-	out := make([][]Hit, len(recs))
+	var out []Hit
 	for i, r := range results {
-		if r.Score < opts.MinScore {
-			continue
+		if r.Score >= opts.MinScore {
+			out = append(out, newHit(recs[i], base+i, endHit(r.Score, r.EndI, r.EndJ), query, opts))
 		}
-		out[i] = []Hit{{
-			RecordID: recs[i].ID, RecordIndex: base + i,
-			Result: align.Result{Score: r.Score, SEnd: r.EndI, TEnd: r.EndJ,
-				SStart: r.EndI, TStart: r.EndJ},
-		}}
 	}
 	return out, nil
 }
@@ -349,7 +236,7 @@ func scanRecord(ctx context.Context, rec seq.Sequence, idx int, query []byte, op
 			if !opts.Retrieve {
 				r.Ops = nil
 			}
-			hits = append(hits, Hit{RecordID: rec.ID, RecordIndex: idx, Result: r})
+			hits = append(hits, newHit(rec, idx, r, query, opts))
 		}
 		return hits, nil
 	}
@@ -361,7 +248,7 @@ func scanRecord(ctx context.Context, rec seq.Sequence, idx int, query []byte, op
 		if r.Score < opts.MinScore {
 			return nil, nil
 		}
-		return []Hit{{RecordID: rec.ID, RecordIndex: idx, Result: r}}, nil
+		return []Hit{newHit(rec, idx, r, query, opts)}, nil
 	}
 	ph, err := linear.LocalScoreOnly(ctx, query, rec.Data, opts.Scoring, scanner)
 	if err != nil {
@@ -370,11 +257,5 @@ func scanRecord(ctx context.Context, rec seq.Sequence, idx int, query []byte, op
 	if ph.Score < opts.MinScore {
 		return nil, nil
 	}
-	// Score-only hits know where the alignment ends but not where it
-	// starts; the spans are left empty at the end coordinates.
-	return []Hit{{
-		RecordID: rec.ID, RecordIndex: idx,
-		Result: align.Result{Score: ph.Score, SEnd: ph.EndI, TEnd: ph.EndJ,
-			SStart: ph.EndI, TStart: ph.EndJ},
-	}}, nil
+	return []Hit{newHit(rec, idx, endHit(ph.Score, ph.EndI, ph.EndJ), query, opts)}, nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +173,98 @@ func TestStreamBufferGaugeResets(t *testing.T) {
 	}
 }
 
+// tinySource generates n records of 32 random bases from a seeded
+// generator, so a test can stream a database it never holds and
+// regenerate the identical records for a reference scan.
+type tinySource struct {
+	g    *seq.Generator
+	i, n int
+}
+
+func (s *tinySource) Next() (seq.Sequence, error) {
+	if s.i == s.n {
+		return seq.Sequence{}, io.EOF
+	}
+	s.i++
+	return s.g.RandomSequence(fmt.Sprintf("t%d", s.i), 32), nil
+}
+
+// heapInUse reads HeapInuse through runtime/metrics, which unlike
+// runtime.ReadMemStats does not stop the world, so sampling it every
+// few milliseconds does not stall the scan.
+func heapInUse() uint64 {
+	ss := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+	}
+	metrics.Read(ss)
+	return ss[0].Value.Uint64() + ss[1].Value.Uint64()
+}
+
+// TestStreamHeapBoundedByTopK pins the bookkeeping side of the
+// reduced-memory contract: streaming a million tiny records, nearly
+// every one a hit, with TopK 5 under a 1 MiB budget must hold the
+// budget plus O(TopK) hits — heap growth must not scale with the
+// record count — and still return exactly Search's hits.
+func TestStreamHeapBoundedByTopK(t *testing.T) {
+	const (
+		records = 1 << 20
+		budget  = 1 << 20
+		limit   = 16 << 20 // heap-growth bound, far below a per-record cost
+	)
+	query := seq.NewGenerator(951).Random(16)
+	opts := Options{TopK: 5}
+	swarF := EngineFactory("swar", engine.Config{})
+
+	runtime.GC()
+	base := heapInUse()
+	stop, done := make(chan struct{}), make(chan struct{})
+	peak := base
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, heapInUse())
+			}
+		}
+	}()
+	got, err := Stream(context.Background(), &tinySource{g: seq.NewGenerator(952), n: records}, query,
+		StreamOptions{Options: opts, MaxMemoryBytes: budget}, swarF)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := int64(peak) - int64(base)
+	t.Logf("%d records, budget %d KiB: peak heap growth %d KiB", records, budget>>10, growth>>10)
+	if growth > limit {
+		t.Fatalf("peak heap growth %d MiB exceeds %d MiB: streaming bookkeeping grows with the record count",
+			growth>>20, limit>>20)
+	}
+
+	src := &tinySource{g: seq.NewGenerator(952), n: records}
+	db := make([]seq.Sequence, 0, records)
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		db = append(db, rec)
+	}
+	want, err := Search(context.Background(), db, query, opts, swarF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != opts.TopK || !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed hits diverge from Search:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestStreamSmokeHeapBudget is the reduced-memory acceptance check: a
 // database far larger than the memory budget — including one unwrapped
 // record past the old 16 MiB line ceiling — streams to hits
@@ -183,9 +277,9 @@ func TestStreamSmokeHeapBudget(t *testing.T) {
 		t.Skip("set SWFPGA_STREAM_SMOKE=1 to run the heap-budget smoke")
 	}
 	const (
-		budget    = 16 << 20  // -max-memory under test
-		bigRecord = 18 << 20  // one unwrapped line past the old 16 MiB ceiling
-		smallN    = 110       // 1 MiB records filling out the database
+		budget    = 16 << 20 // -max-memory under test
+		bigRecord = 18 << 20 // one unwrapped line past the old 16 MiB ceiling
+		smallN    = 110      // 1 MiB records filling out the database
 		smallLen  = 1 << 20
 		dbBytes   = bigRecord + smallN*smallLen // 128 MiB
 	)

@@ -109,7 +109,7 @@ func TestSwarSaturationFallbackAllPaths(t *testing.T) {
 }
 
 // TestShardedTopKDuplicateScores is the property test pinning the topK
-// compaction (the 2k+64 cut in sharded.go) under heavy score ties that
+// compaction (the 2k+64 cut in pipeline.go) under heavy score ties that
 // straddle shard boundaries: databases built from a small pool of
 // duplicated records produce runs of identical scores, shards are cut
 // small so those runs cross shard edges, and for every k the sharded

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 )
 
@@ -320,12 +319,6 @@ func (x *ShardIndex) ShardInfo(i int) ShardInfo { return x.man.Shards[i] }
 // record — the offset a sharded scan adds to a local record index so
 // hits rank identically to a flat scan.
 func (x *ShardIndex) ShardRecordBase(i int) int64 { return x.recordBase[i] }
-
-// RecordLen returns the length in bases of global record g.
-func (x *ShardIndex) RecordLen(g int64) int {
-	i := sort.Search(len(x.recordBase), func(i int) bool { return x.recordBase[i] > g }) - 1
-	return int(x.shards[i].h.lens[g-x.recordBase[i]])
-}
 
 // Source returns a fresh RecordSource over every record of the index
 // in global order. Each call returns an independent iterator; any

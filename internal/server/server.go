@@ -47,8 +47,8 @@ type Config struct {
 	// (cmd/swservd) loads it; this package never reads files.
 	DB []seq.Sequence
 	// Index is a packed shard index served instead of DB: /v1/search
-	// runs the scatter-gather merge tier over its mapped shards, with
-	// hits bit-identical to scanning the equivalent FASTA. The caller
+	// scans its mapped shards one shard per task (search.SearchSharded),
+	// with hits bit-identical to scanning the equivalent FASTA. The caller
 	// opens it (and closes it after Drain); exactly one of DB and Index
 	// may be set.
 	Index *seq.ShardIndex
@@ -432,9 +432,9 @@ func (s *Server) process(sctx context.Context, p *pending) reply {
 		err  error
 	)
 	if p.db == nil && s.cfg.Index != nil {
-		// Indexed search: the merge tier scatters shards across the
-		// per-request workers; align requests carry their own one-record
-		// db and never take this path.
+		// Indexed search: shards scatter across the per-request
+		// workers; align requests carry their own one-record db and
+		// never take this path.
 		hits, err = search.SearchSharded(ctx, s.cfg.Index, p.req.query,
 			search.ShardedOptions{Options: sopts, ShardWorkers: s.cfg.ScanWorkers}, factory)
 	} else {

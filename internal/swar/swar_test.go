@@ -49,7 +49,7 @@ func randSeq(rng *rand.Rand, n int, alphabet string) []byte {
 func TestScanGroupMatchesOracle(t *testing.T) {
 	scorings := []scoring.LinearScoring{
 		scoring.DefaultLinear(),
-		{Match: 2, Mismatch: 0, Gap: -1},  // non-negative mismatch edge
+		{Match: 2, Mismatch: 0, Gap: -1}, // non-negative mismatch edge
 		{Match: 3, Mismatch: -2, Gap: -4},
 		{Match: 1, Mismatch: -3, Gap: -1},
 	}
@@ -139,15 +139,18 @@ func TestSaturationPromotion(t *testing.T) {
 
 // TestSaturationFallback overflows even the 16-bit tier: the lane must
 // come back flagged Overflow (never a silently wrong score) and be
-// counted as a fallback.
+// counted as a fallback. A large Match lets a self-match of about a
+// thousand bases overflow, while the small lane's score of 4*Match
+// still fits the 8-bit tier.
 func TestSaturationFallback(t *testing.T) {
-	sc := scoring.DefaultLinear()
-	n := 0x8000 + 64
+	sc := scoring.LinearScoring{Match: 25, Mismatch: -1, Gap: -2}
+	n := 1400
 	q := bigQuery(n)
 	k := swar.NewKernel(q, sc)
-	_, lim16 := k.Limits()
-	if lim16 >= n {
-		t.Fatalf("test assumes score %d exceeds 16-bit cap %d", n, lim16)
+	lim8, lim16 := k.Limits()
+	if lim16 >= n*sc.Match || lim8 < 4*sc.Match {
+		t.Fatalf("test assumes score %d exceeds 16-bit cap %d and score %d fits 8-bit cap %d",
+			n*sc.Match, lim16, 4*sc.Match, lim8)
 	}
 	hot := append([]byte(nil), q...)
 	out := make([]swar.Result, 2)

@@ -94,14 +94,6 @@ const (
 	NameIndexPayloadBytes = "swfpga_index_payload_bytes"
 	// NameIndexShardsBuilt counts shards sealed by swindex builds.
 	NameIndexShardsBuilt = "swfpga_index_shards_built_total"
-	// NameShardScans counts per-shard scans completed by the
-	// scatter-gather merge tier.
-	NameShardScans = "swfpga_shard_scans_total"
-	// NameShardTopKHits counts hits surviving the per-shard top-k cut
-	// and entering the global merge.
-	NameShardTopKHits = "swfpga_shard_topk_hits_total"
-	// NameShardScanSeconds is the per-shard scan wall-latency histogram.
-	NameShardScanSeconds = "swfpga_shard_scan_wall_seconds"
 
 	// NameSwarGroups counts lane groups scanned by the SWAR software
 	// kernel (up to swar.GroupSize records per group).
@@ -161,10 +153,6 @@ const (
 	// SpanServerRequest covers one HTTP request through swservd, from
 	// decode to response.
 	SpanServerRequest = "server.request"
-	// SpanSearchSharded covers one scatter-gather scan over a shard
-	// index; SpanSearchShard one shard's scan within it.
-	SpanSearchSharded = "search.sharded"
-	SpanSearchShard   = "search.shard"
 	// SpanIndexBuild covers one swindex compilation; SpanIndexShard
 	// marks each shard as it is sealed.
 	SpanIndexBuild = "index.build"
@@ -188,8 +176,7 @@ func RegisteredNames() []string {
 		NameServerShed, NameServerDegraded, NameServerBreakerState,
 		NameServerDrains, NameServerStalls, NameServerSeconds,
 		NameIndexShards, NameIndexRecords, NameIndexPayloadBytes,
-		NameIndexShardsBuilt, NameShardScans, NameShardTopKHits,
-		NameShardScanSeconds,
+		NameIndexShardsBuilt,
 		NameSwarGroups, NameSwarRecords, NameSwarPromotions,
 		NameSwarFallbacks,
 		NameBuildInfo, NameUptimeSeconds,
@@ -199,6 +186,6 @@ func RegisteredNames() []string {
 		SpanDeviceScanAffine, SpanClusterPipeline, SpanClusterScan,
 		SpanClusterReverse, SpanSystolicRun, SpanSystolicAffine,
 		SpanBenchOverhead, SpanServerRequest,
-		SpanSearchSharded, SpanSearchShard, SpanIndexBuild, SpanIndexShard,
+		SpanIndexBuild, SpanIndexShard,
 	}
 }

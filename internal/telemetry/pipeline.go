@@ -166,22 +166,6 @@ var (
 	IndexShardsBuilt = Default().NewCounter(
 		NameIndexShardsBuilt,
 		"shards sealed by index builds")
-	// ShardScans counts per-shard scans completed by the scatter-gather
-	// merge tier; ShardTopKHits the hits surviving the per-shard top-k
-	// cut into the global merge.
-	ShardScans = Default().NewCounter(
-		NameShardScans,
-		"per-shard scans completed by the sharded search")
-	ShardTopKHits = Default().NewCounter(
-		NameShardTopKHits,
-		"hits entering the global merge from per-shard top-k cuts")
-	// ShardScanSeconds is the wall latency of one shard's scan inside a
-	// sharded search.
-	ShardScanSeconds = Default().NewHistogram(
-		NameShardScanSeconds,
-		"per-shard scan wall latency (seconds)",
-		ExponentialBounds(1e-4, 4, 14))
-
 	// SwarGroups / SwarRecords count lane-group scans and the records
 	// scored inside SWAR lanes; SwarPromotions / SwarFallbacks count the
 	// saturation escapes (8-bit lanes re-run in the 16-bit tier, and
